@@ -17,6 +17,7 @@ namespace deepdive::core {
 using factor::GraphDelta;
 using factor::VarId;
 using factor::WeightId;
+using incremental::UpdateReport;
 
 namespace {
 /// AddRule tickets kept for exact-restore retraction. One is enough for the
@@ -26,8 +27,7 @@ constexpr size_t kMaxRuleJournal = 8;
 }  // namespace
 
 DeepDive::DeepDive(dsl::Program program, DeepDiveConfig config)
-    : program_(std::move(program)), config_(config),
-      view_(publisher_.Current()) {}
+    : program_(std::move(program)), config_(config) {}
 
 StatusOr<std::unique_ptr<DeepDive>> DeepDive::Create(const std::string& program_source,
                                                      DeepDiveConfig config) {
@@ -115,6 +115,9 @@ void DeepDive::PublishView(UpdateReport* report) {
     auto& entries = view->relations[relation];
     entries.reserve(vars.size());
     for (const VarId var : vars) {
+      // A candidate whose last derivation was deleted keeps its variable
+      // (ids are append-only) but is no longer served.
+      if (ground_.IsRetracted(var)) continue;
       entries.emplace_back(ground_.var_tuples[var].second,
                            var < marginals_.size() ? marginals_[var] : 0.5);
     }
@@ -127,6 +130,7 @@ void DeepDive::PublishView(UpdateReport* report) {
   for (const dsl::RelationDecl& rel : program_.relations()) {
     if (rel.kind == dsl::RelationKind::kQuery) {
       view->query_relations.push_back(rel.name);
+      view->query_schemas.push_back(rel.schema);
     }
   }
   view->program_version = program_version_;
@@ -135,16 +139,40 @@ void DeepDive::PublishView(UpdateReport* report) {
   report->epoch = publisher_.next_epoch();
   view->report = *report;
   if (inc_engine_ != nullptr) {
-    // Copy the engine's serving-state facts and pin its snapshot so readers
-    // of this view survive later materialization swaps.
-    const auto engine_view = inc_engine_->Query();
-    view->materialization = engine_view->materialization;
-    view->snapshot_generation = engine_view->snapshot_generation;
-    view->samples_remaining = engine_view->samples_remaining;
-    view->materialized_marginals = engine_view->materialized_marginals;
+    // Copy the serving snapshot's facts and pin (don't copy) its Pr(0)
+    // marginals: the aliasing pointer keeps the whole snapshot alive for
+    // readers of this view across later materialization swaps.
+    const auto snapshot = inc_engine_->serving_snapshot();
+    view->materialization = snapshot->stats;
+    view->snapshot_generation = snapshot->generation;
+    view->samples_remaining = snapshot->store.remaining();
+    view->materialized_marginals = std::shared_ptr<const std::vector<double>>(
+        snapshot, &snapshot->materialized_marginals);
   }
   publisher_.Publish(std::move(view));
-  view_ = publisher_.Current();
+}
+
+Status DeepDive::AdoptOutcome(StatusOr<incremental::UpdateOutcome> outcome,
+                              UpdateReport* report) {
+  if (!outcome.ok()) return outcome.status();
+  marginals_ = std::move(outcome->marginals);
+  report->strategy = outcome->fell_back_to_variational
+                         ? incremental::Strategy::kVariational
+                         : outcome->strategy;
+  report->acceptance_rate = outcome->acceptance_rate;
+  report->affected_vars = outcome->affected_vars;
+  return Status::OK();
+}
+
+UpdateReport DeepDive::FinishUpdate(UpdateReport report) {
+  report.graph_variables = ground_.graph.NumVariables();
+  report.graph_factors = ground_.graph.NumActiveClauses();
+  // Publish this update's results as a fresh immutable view (stamping
+  // report.epoch); views pinned before this line keep serving the previous
+  // epoch's marginals untouched.
+  PublishView(&report);
+  history_.push_back(report);
+  return report;
 }
 
 uint64_t DeepDive::RulesFingerprint() const {
@@ -160,11 +188,6 @@ uint64_t DeepDive::RulesFingerprint() const {
     text += '\n';
   }
   return factor::Fnv1aHash(text.data(), text.size());
-}
-
-const incremental::MaterializationStats& DeepDive::materialization_stats() const {
-  static const incremental::MaterializationStats kEmpty;
-  return inc_engine_ ? inc_engine_->materialization_stats() : kEmpty;
 }
 
 StatusOr<UpdateReport> DeepDive::ApplyUpdate(const UpdateSpec& update) {
@@ -262,25 +285,11 @@ StatusOr<UpdateReport> DeepDive::ApplyUpdate(const UpdateSpec& update) {
 
     // ---- incremental inference ----
     Timer infer_timer;
-    DD_ASSIGN_OR_RETURN(incremental::UpdateOutcome outcome,
-                        inc_engine_->ApplyDelta(delta, config_.engine));
+    DD_RETURN_IF_ERROR(
+        AdoptOutcome(inc_engine_->ApplyDelta(delta, config_.engine), &report));
     report.inference_seconds = infer_timer.Seconds();
-    marginals_ = outcome.marginals;
-    report.strategy = outcome.fell_back_to_variational
-                          ? incremental::Strategy::kVariational
-                          : outcome.strategy;
-    report.acceptance_rate = outcome.acceptance_rate;
-    report.affected_vars = outcome.affected_vars;
   }
-
-  report.graph_variables = ground_.graph.NumVariables();
-  report.graph_factors = ground_.graph.NumActiveClauses();
-  // Publish this update's results as a fresh immutable view (stamping
-  // report.epoch); views pinned before this line keep serving the previous
-  // epoch's marginals untouched.
-  PublishView(&report);
-  history_.push_back(report);
-  return report;
+  return FinishUpdate(std::move(report));
 }
 
 StatusOr<UpdateReport> DeepDive::AddRule(const std::string& rule_source,
@@ -351,15 +360,9 @@ StatusOr<UpdateReport> DeepDive::AddRule(const std::string& rule_source,
   report.learning_seconds = learn_timer.Seconds();
 
   Timer infer_timer;
-  DD_ASSIGN_OR_RETURN(incremental::UpdateOutcome outcome,
-                      inc_engine_->AddRule(delta, config_.engine));
+  DD_RETURN_IF_ERROR(
+      AdoptOutcome(inc_engine_->AddRule(delta, config_.engine), &report));
   report.inference_seconds = infer_timer.Seconds();
-  marginals_ = outcome.marginals;
-  report.strategy = outcome.fell_back_to_variational
-                        ? incremental::Strategy::kVariational
-                        : outcome.strategy;
-  report.acceptance_rate = outcome.acceptance_rate;
-  report.affected_vars = outcome.affected_vars;
   ++program_version_;
 
   ticket.engine_seq_after = inc_engine_->update_seq();
@@ -367,12 +370,7 @@ StatusOr<UpdateReport> DeepDive::AddRule(const std::string& rule_source,
   if (rule_journal_.size() > kMaxRuleJournal) {
     rule_journal_.erase(rule_journal_.begin());
   }
-
-  report.graph_variables = ground_.graph.NumVariables();
-  report.graph_factors = ground_.graph.NumActiveClauses();
-  PublishView(&report);
-  history_.push_back(report);
-  return report;
+  return FinishUpdate(std::move(report));
 }
 
 StatusOr<UpdateReport> DeepDive::RetractRule(const std::string& label) {
@@ -414,24 +412,12 @@ StatusOr<UpdateReport> DeepDive::RetractRule(const std::string& label) {
   }
 
   Timer infer_timer;
-  DD_ASSIGN_OR_RETURN(
-      incremental::UpdateOutcome outcome,
-      inc_engine_->RetractRule(delta, config_.engine, restore));
+  DD_RETURN_IF_ERROR(AdoptOutcome(
+      inc_engine_->RetractRule(delta, config_.engine, restore), &report));
   report.inference_seconds = infer_timer.Seconds();
-  marginals_ = outcome.marginals;
-  report.strategy = outcome.fell_back_to_variational
-                        ? incremental::Strategy::kVariational
-                        : outcome.strategy;
-  report.acceptance_rate = outcome.acceptance_rate;
-  report.affected_vars = outcome.affected_vars;
   ++program_version_;
   if (ticket != rule_journal_.end()) rule_journal_.erase(ticket);
-
-  report.graph_variables = ground_.graph.NumVariables();
-  report.graph_factors = ground_.graph.NumActiveClauses();
-  PublishView(&report);
-  history_.push_back(report);
-  return report;
+  return FinishUpdate(std::move(report));
 }
 
 Status DeepDive::RunFullPipeline(UpdateReport* report, bool cold_learning) {
@@ -485,17 +471,6 @@ void DeepDive::LearnIncremental(GraphDelta* delta) {
           GraphDelta::WeightChange{w, before[w], after});
     }
   }
-}
-
-double DeepDive::MarginalOf(const std::string& relation, const Tuple& tuple) const {
-  return view_->MarginalOf(relation, tuple);
-}
-
-std::vector<std::pair<Tuple, double>> DeepDive::Marginals(
-    const std::string& relation) const {
-  const auto* entries = view_->Relation(relation);
-  if (entries == nullptr) return {};
-  return *entries;
 }
 
 }  // namespace deepdive::core

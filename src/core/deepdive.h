@@ -39,9 +39,6 @@ struct UpdateSpec {
   bool skip_learning = false;
 };
 
-// UpdateReport (timing/diagnostics for one update) lives in
-// incremental/update_report.h so ResultViews can embed it.
-
 /// End-to-end DeepDive engine: declarative program + relational store +
 /// DRed view maintenance + (incremental) grounding + learning + inference.
 ///
@@ -53,13 +50,14 @@ struct UpdateSpec {
 ///   dd->Query()->MarginalOf("HasSpouse", tuple);
 ///
 /// Threading contract: one writer, any number of readers. LoadRows /
-/// Initialize / ApplyUpdate and the reference-returning accessors belong to
-/// one serving thread — under Clang they are REQUIRES(serving_thread), the
-/// fake-lock role capability of util/thread_role.h, so calling them without
-/// having claimed the role is a -Wthread-safety compile error. Query() is
-/// the concurrent read surface: every Initialize/ApplyUpdate publishes a
-/// fresh immutable ResultView, and any number of reader threads can pin and
-/// read views (no capability needed) while the next update is being applied.
+/// Initialize / ApplyUpdate and the accessors belong to one serving thread —
+/// under Clang they are REQUIRES(serving_thread), the fake-lock role
+/// capability of util/thread_role.h, so calling them without having claimed
+/// the role is a -Wthread-safety compile error. Query() is the read surface
+/// for every thread: Initialize and every update publish a fresh immutable
+/// ResultView (this is the system's only publisher), and any number of
+/// reader threads can pin and read views (no capability needed) while the
+/// next update is being applied.
 class DeepDive {
  public:
   /// The creating thread claims the serving role; it may hand the instance
@@ -94,7 +92,7 @@ class DeepDive {
   /// Applies one update and refreshes marginals. In Rerun mode this
   /// re-grounds / re-learns / re-infers from scratch. The returned report
   /// carries the epoch of the ResultView the update published.
-  StatusOr<UpdateReport> ApplyUpdate(const UpdateSpec& update)
+  StatusOr<incremental::UpdateReport> ApplyUpdate(const UpdateSpec& update)
       REQUIRES(serving_thread);
 
   /// First-class rule addition (online program evolution): `rule_source` is
@@ -108,15 +106,16 @@ class DeepDive {
   /// ApplyUpdate. `learn = false` (the miner's trial mode) leaves every
   /// existing weight untouched so a retraction restores exactly.
   /// In Rerun mode this delegates to ApplyUpdate (full re-ground baseline).
-  StatusOr<UpdateReport> AddRule(const std::string& rule_source,
-                                 bool learn = true) REQUIRES(serving_thread);
+  StatusOr<incremental::UpdateReport> AddRule(const std::string& rule_source,
+                                              bool learn = true)
+      REQUIRES(serving_thread);
 
   /// First-class rule retraction: deactivates the labeled factor rule's
   /// groups as a GraphDelta. When no update intervened since the matching
   /// AddRule (rule journal), pre-add weights and marginals are restored
   /// bit-for-bit; otherwise the engine re-infers incrementally from the
   /// retraction delta.
-  StatusOr<UpdateReport> RetractRule(const std::string& label)
+  StatusOr<incremental::UpdateReport> RetractRule(const std::string& label)
       REQUIRES(serving_thread);
 
   /// Program-evolution observability (also published into every ResultView
@@ -166,34 +165,16 @@ class DeepDive {
     publisher_.WaitForEpoch(min_epoch);
   }
 
-  /// Serving-thread-only accessors, reimplemented over the serving thread's
-  /// current ResultView (exactly what the latest Initialize/ApplyUpdate
-  /// published). References stay valid until this thread's next update
-  /// publishes a successor view; concurrent readers must pin their own view
-  /// with Query() instead.
-
-  /// Marginal probability of a query tuple (0.5 if unknown variable).
-  double MarginalOf(const std::string& relation, const Tuple& tuple) const
-      REQUIRES(serving_thread);
-
-  /// All (tuple, marginal) pairs of a query relation, sorted by tuple.
-  std::vector<std::pair<Tuple, double>> Marginals(const std::string& relation) const
-      REQUIRES(serving_thread);
-
-  /// Raw marginal vector indexed by VarId.
-  const std::vector<double>& marginal_vector() const REQUIRES(serving_thread) {
-    return view_->marginals;
-  }
-
-  const std::vector<UpdateReport>& history() const REQUIRES(serving_thread) {
+  const std::vector<incremental::UpdateReport>& history() const
+      REQUIRES(serving_thread) {
     return history_;
   }
-  const incremental::MaterializationStats& materialization_stats() const
-      REQUIRES(serving_thread);
 
   /// The incremental engine (nullptr in Rerun mode or before Initialize).
   /// Exposes the async-materialization surface: MaterializationInFlight,
-  /// WaitForMaterialization, snapshot_generation.
+  /// WaitForMaterialization, serving_snapshot. A snapshot installed by
+  /// WaitForMaterialization reaches Query() views at the next publish; read
+  /// serving_snapshot() to see it before then.
   incremental::IncrementalEngine* incremental_engine() REQUIRES(serving_thread) {
     return inc_engine_.get();
   }
@@ -213,15 +194,25 @@ class DeepDive {
     size_t num_weights_before = 0;
   };
 
-  Status RunFullPipeline(UpdateReport* report, bool cold_learning)
+  Status RunFullPipeline(incremental::UpdateReport* report, bool cold_learning)
+      REQUIRES(serving_thread);
+
+  /// Folds an engine update's outcome into the serving state and `report`:
+  /// its marginals move into marginals_, its strategy facts into the report.
+  Status AdoptOutcome(StatusOr<incremental::UpdateOutcome> outcome,
+                      incremental::UpdateReport* report) REQUIRES(serving_thread);
+
+  /// Common tail of every update: stamps the graph size into `report`,
+  /// publishes the view and appends the report to the history.
+  incremental::UpdateReport FinishUpdate(incremental::UpdateReport report)
       REQUIRES(serving_thread);
 
   /// Builds a ResultView of the current serving state (marginals_, the
-  /// per-relation tuple index derived from ground_, `report`, and — in
-  /// incremental mode — the engine's materialization stats and pinned Pr(0)
-  /// marginals), publishes it, and stamps report->epoch. Serving thread
-  /// only.
-  void PublishView(UpdateReport* report) REQUIRES(serving_thread);
+  /// per-relation tuple index derived from ground_ without retracted
+  /// candidates, `report`, and — in incremental mode — the engine's serving
+  /// snapshot: stats, generation and pinned Pr(0) marginals), publishes it,
+  /// and stamps report->epoch. Serving thread only.
+  void PublishView(incremental::UpdateReport* report) REQUIRES(serving_thread);
 
   /// Incremental learning with warmstart; records weight changes in `delta`.
   void LearnIncremental(factor::GraphDelta* delta) REQUIRES(serving_thread);
@@ -244,7 +235,7 @@ class DeepDive {
   /// Working marginal buffer of the serving thread; every publication
   /// freezes a copy into an immutable ResultView.
   std::vector<double> marginals_ GUARDED_BY(serving_thread);
-  std::vector<UpdateReport> history_ GUARDED_BY(serving_thread);
+  std::vector<incremental::UpdateReport> history_ GUARDED_BY(serving_thread);
   bool initialized_ GUARDED_BY(serving_thread) = false;
 
   /// Bumped on every rule change (AddRule / RetractRule / ApplyUpdate
@@ -254,10 +245,8 @@ class DeepDive {
   std::vector<RuleTicket> rule_journal_ GUARDED_BY(serving_thread);
   RelationDeltaListener delta_listener_ GUARDED_BY(serving_thread);
 
-  /// RCU publication slot for Query(), plus the serving thread's own pin of
-  /// the latest published view (what the legacy accessors read).
+  /// RCU publication slot for Query().
   incremental::ResultPublisher publisher_;
-  std::shared_ptr<const incremental::ResultView> view_ GUARDED_BY(serving_thread);
 };
 
 }  // namespace deepdive::core

@@ -35,6 +35,15 @@ struct GroundGraph {
   /// O(relation size) rather than a scan of every variable.
   std::unordered_map<std::string, std::vector<factor::VarId>> relation_vars;
 
+  /// Retraction marks by VarId (entries past the end read false): a query
+  /// tuple whose last derivation was deleted keeps its variable, since ids
+  /// are append-only, but is marked here and no longer served. A later
+  /// re-derivation clears the mark.
+  std::vector<bool> retracted;
+  bool IsRetracted(factor::VarId var) const {
+    return var < retracted.size() && retracted[var];
+  }
+
   /// Variable for a query tuple, or kNoVar.
   factor::VarId FindVariable(const std::string& relation, const Tuple& tuple) const;
 

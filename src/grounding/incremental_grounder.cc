@@ -492,14 +492,24 @@ StatusOr<GraphDelta> IncrementalGrounder::ApplyRelationDeltas(
   mod_index_.clear();
   fresh_groups_.clear();
 
-  // 1. New query tuples become variables (removed tuples keep their variable,
-  //    which ends up isolated once its groundings are retracted below).
+  // 1. New query tuples become variables. Removed tuples keep their variable,
+  //    which ends up isolated once its groundings are retracted below, and
+  //    are marked retracted; a re-inserted tuple clears its mark.
+  std::vector<bool>& retracted = ground_->retracted;
   for (const auto& [relation, dt] : deltas) {
     if (!program_->IsQueryRelation(relation)) continue;
     // Ordered: variable ids are assigned in visit order, and ids reach the
     // published view and fingerprints — hash-layout order must not leak in.
     dt.ForEachOrdered([&](const Tuple& t, int64_t c) {
-      if (c > 0) GetOrCreateVariable(relation, t, &delta);
+      if (c == 0) return;
+      const VarId var = c > 0 ? GetOrCreateVariable(relation, t, &delta)
+                              : ground_->FindVariable(relation, t);
+      if (var == factor::kNoVar) return;
+      if (var >= retracted.size()) {
+        if (c > 0) return;  // never marked
+        retracted.resize(var + 1, false);
+      }
+      retracted[var] = c < 0;
     });
   }
 

@@ -15,15 +15,21 @@ const std::vector<std::pair<Tuple, double>>* ResultView::Relation(
 
 double ResultView::MarginalOf(const std::string& relation,
                               const Tuple& tuple) const {
+  const auto* entry = Find(relation, tuple);
+  return entry == nullptr ? 0.5 : entry->second;
+}
+
+const std::pair<Tuple, double>* ResultView::Find(const std::string& relation,
+                                                 const Tuple& tuple) const {
   const auto* entries = Relation(relation);
-  if (entries == nullptr) return 0.5;
+  if (entries == nullptr) return nullptr;
   const auto it = std::lower_bound(
       entries->begin(), entries->end(), tuple,
       [](const std::pair<Tuple, double>& entry, const Tuple& t) {
         return entry.first < t;
       });
-  if (it == entries->end() || it->first != tuple) return 0.5;
-  return it->second;
+  if (it == entries->end() || it->first != tuple) return nullptr;
+  return &*it;
 }
 
 uint64_t ResultView::Fingerprint() const {

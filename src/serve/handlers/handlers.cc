@@ -12,10 +12,14 @@
 namespace deepdive::serve::handlers {
 namespace {
 
-bool IsQueryRelationOf(const incremental::ResultView& view,
-                       const std::string& relation) {
-  return std::find(view.query_relations.begin(), view.query_relations.end(),
-                   relation) != view.query_relations.end();
+/// Schema of `relation` frozen into the view, or nullptr when it is not one
+/// of the view's query relations.
+const Schema* QuerySchemaOf(const incremental::ResultView& view,
+                            const std::string& relation) {
+  const auto it = std::find(view.query_relations.begin(),
+                            view.query_relations.end(), relation);
+  if (it == view.query_relations.end()) return nullptr;
+  return &view.query_schemas[it - view.query_relations.begin()];
 }
 
 /// Renders one relation's export chunk from a pinned view — exactly the
@@ -89,29 +93,29 @@ comm::Response Dispatcher::HandleQuery(const comm::Request& request) const {
   // One lock-free pin answers the whole request; the writer thread keeps
   // publishing newer epochs underneath without blocking us.
   const auto view = dd->Query();
-  if (!IsQueryRelationOf(*view, body.relation)) {
+  const Schema* schema = QuerySchemaOf(*view, body.relation);
+  if (schema == nullptr) {
     return comm::Response::Error(Status::InvalidArgument(
         "'" + body.relation + "' is not a query relation"));
   }
   comm::QueryResult result;
   result.epoch = view->epoch;
-  const auto* entries = view->Relation(body.relation);
   if (body.tuple_tsv.empty()) {
-    if (entries != nullptr) {
+    if (const auto* entries = view->Relation(body.relation)) {
       for (const auto& [tuple, marginal] : *entries) {
         if (marginal >= body.threshold) ++result.entries;
       }
     }
-  } else if (entries != nullptr) {
-    // Tuple lookup by its TSV rendering: connection threads have no schema
-    // (the program is serving-thread-only), so tuples travel as text.
-    for (const auto& [tuple, marginal] : *entries) {
-      auto line = FormatTsvLine(tuple);
-      if (line.ok() && *line == body.tuple_tsv) {
-        result.found = true;
-        result.marginal = marginal;
-        break;
-      }
+  } else if (auto tuple = ParseTsvLine(*schema, body.tuple_tsv); tuple.ok()) {
+    // Tuples travel as text (the program is serving-thread-only); the view's
+    // frozen schema parses them for a binary search of the index. The found
+    // tuple must render back to the same text, so the match stays exact:
+    // "1" does not name a bool column's "true". A line that does not parse
+    // names no tuple.
+    if (const auto* entry = view->Find(body.relation, *tuple)) {
+      const auto line = FormatTsvLine(entry->first);
+      result.found = line.ok() && *line == body.tuple_tsv;
+      if (result.found) result.marginal = entry->second;
     }
   }
   comm::Response response;
@@ -157,7 +161,7 @@ comm::Response Dispatcher::HandleExport(const comm::Request& request) const {
   const std::vector<std::string>& relations =
       body.relations.empty() ? view->query_relations : body.relations;
   for (const std::string& relation : relations) {
-    if (!IsQueryRelationOf(*view, relation)) {
+    if (QuerySchemaOf(*view, relation) == nullptr) {
       return comm::Response::Error(Status::InvalidArgument(
           "'" + relation + "' is not a query relation"));
     }

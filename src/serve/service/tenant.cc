@@ -402,8 +402,12 @@ StatusOr<TenantInstance::DrainReport> TenantInstance::ExecuteDrain(
   DrainReport report;
   if (auto* engine = dd->incremental_engine(); engine != nullptr) {
     DD_RETURN_IF_ERROR(engine->WaitForMaterialization());
-    report.snapshot_generation = engine->snapshot_generation();
-    report.samples_collected = dd->materialization_stats().samples_collected;
+    // The drain may have just installed a snapshot that no Query() view
+    // carries yet (it becomes visible at the next publish): read the
+    // engine's serving snapshot, not the last view.
+    const auto snapshot = engine->serving_snapshot();
+    report.snapshot_generation = snapshot->generation;
+    report.samples_collected = snapshot->stats.samples_collected;
   }
   return report;
 }

@@ -1,8 +1,8 @@
 // The versioned snapshot query API: ResultView/ResultPublisher semantics,
-// Query() on DeepDive and IncrementalEngine, epoch plumbing through
-// UpdateReport/UpdateOutcome, snapshot isolation of pinned views, and the
-// concurrent reader/writer drill (N reader threads hammering Query() while
-// the serving thread applies a stream of deltas and async remats swap
+// DeepDive::Query(), epoch plumbing through UpdateReport, snapshot isolation
+// of pinned views (marginals and the pinned materialization snapshot), and
+// the concurrent reader/writer drill (N reader threads hammering Query()
+// while the serving thread applies a stream of deltas and async remats swap
 // snapshots). The concurrency-heavy cases also run under the
 // ThreadSanitizer CI job.
 #include <gtest/gtest.h>
@@ -14,10 +14,8 @@
 #include <vector>
 
 #include "core/deepdive.h"
-#include "factor/factor_graph.h"
 #include "incremental/engine.h"
 #include "incremental/result_view.h"
-#include "util/random.h"
 #include "util/thread_role.h"
 
 namespace deepdive {
@@ -27,10 +25,6 @@ using core::DeepDive;
 using core::DeepDiveConfig;
 using incremental::UpdateReport;
 using core::UpdateSpec;
-using factor::FactorGraph;
-using factor::GraphDelta;
-using factor::VarId;
-using incremental::EngineOptions;
 using incremental::IncrementalEngine;
 using incremental::MaterializationOptions;
 using incremental::ResultPublisher;
@@ -135,10 +129,10 @@ TEST(DeepDiveQueryTest, QueryIsEmptyEpochZeroBeforeInitialize) {
   const auto view = dd->Query();
   ASSERT_NE(view, nullptr);
   EXPECT_EQ(view->epoch, 0u);
-  EXPECT_DOUBLE_EQ(dd->MarginalOf("HasSpouse", {Value(10), Value(11)}), 0.5);
+  EXPECT_DOUBLE_EQ(view->MarginalOf("HasSpouse", {Value(10), Value(11)}), 0.5);
 }
 
-TEST(DeepDiveQueryTest, InitializePublishesAndLegacyAccessorsMatchView) {
+TEST(DeepDiveQueryTest, InitializePublishesIndexedView) {
   deepdive::serving_thread.AssertHeld();
   auto dd = MakeDeepDive(core::FastTestConfig());
   ASSERT_TRUE(dd->Initialize().ok());
@@ -152,18 +146,18 @@ TEST(DeepDiveQueryTest, InitializePublishesAndLegacyAccessorsMatchView) {
   EXPECT_GT(view->materialization.samples_collected, 0u);
   ASSERT_NE(view->materialized_marginals, nullptr);
 
-  // The legacy accessors are the view, by construction.
-  EXPECT_EQ(&dd->marginal_vector(), &view->marginals);
-  const auto pairs = dd->Marginals("HasSpouse");
+  // The relation index is sorted by tuple, and each entry is the marginal
+  // of its variable.
   const auto* entries = view->Relation("HasSpouse");
   ASSERT_NE(entries, nullptr);
-  ASSERT_EQ(pairs.size(), entries->size());
-  EXPECT_FALSE(pairs.empty());
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    EXPECT_EQ(pairs[i].first, (*entries)[i].first);
-    EXPECT_DOUBLE_EQ(pairs[i].second, (*entries)[i].second);
-    EXPECT_DOUBLE_EQ(dd->MarginalOf("HasSpouse", pairs[i].first),
-                     view->MarginalOf("HasSpouse", pairs[i].first));
+  ASSERT_EQ(entries->size(), 6u);  // 3 sentences x 2 ordered pairs
+  for (size_t i = 0; i < entries->size(); ++i) {
+    const auto& [tuple, p] = (*entries)[i];
+    if (i > 0) {
+      EXPECT_LT((*entries)[i - 1].first, tuple);
+    }
+    EXPECT_EQ(p, view->marginals[dd->ground().FindVariable("HasSpouse", tuple)]);
+    EXPECT_EQ(view->MarginalOf("HasSpouse", tuple), p);
   }
 }
 
@@ -237,112 +231,83 @@ TEST(DeepDiveQueryTest, RerunModePublishesViewsToo) {
   EXPECT_EQ(dd->Query()->epoch, 2u);
 }
 
-// ---------------------------------------------------------------------------
-// IncrementalEngine::Query semantics.
-// ---------------------------------------------------------------------------
-
-FactorGraph TwoComponentGraph(uint64_t seed) {
-  FactorGraph g;
-  Rng rng(seed);
-  g.AddVariables(8);
-  for (VarId base : {VarId{0}, VarId{4}}) {
-    for (VarId i = 0; i < 3; ++i) {
-      g.AddSimpleFactor(base + i, {{static_cast<VarId>(base + i + 1), false}},
-                        g.AddWeight(rng.Uniform(-0.8, 0.8), false));
-    }
-  }
-  for (VarId v = 0; v < 8; ++v) {
-    g.AddSimpleFactor(v, {}, g.AddWeight(rng.Uniform(-0.3, 0.3), false));
-  }
-  return g;
+/// A remat of `dd`'s engine with a different seed and half the samples, so
+/// the installed snapshot is told apart from the one Initialize built.
+MaterializationOptions RematOptions(const DeepDive& dd) {
+  MaterializationOptions remat = dd.config().materialization;
+  remat.seed = 777;
+  remat.num_samples = dd.config().materialization.num_samples / 2;
+  remat.remat_on_exhaustion = false;
+  return remat;
 }
 
-MaterializationOptions TestMaterialization() {
-  MaterializationOptions options;
-  options.num_samples = 1000;
-  options.gibbs_burn_in = 50;
-  options.variational.num_samples = 200;
-  options.variational.fit_epochs = 100;
-  options.remat_on_exhaustion = false;
-  return options;
-}
-
-EngineOptions TestEngine() {
-  EngineOptions options;
-  options.mh_target_steps = 500;
-  options.gibbs.burn_in_sweeps = 50;
-  options.gibbs.sample_sweeps = 500;
-  return options;
-}
-
-GraphDelta AddFeatureFactor(FactorGraph* g, VarId head, VarId body, double w) {
-  GraphDelta delta;
-  delta.new_groups.push_back(
-      g->AddSimpleFactor(head, {{body, false}}, g->AddWeight(w, /*learnable=*/true)));
-  return delta;
-}
-
-TEST(EngineQueryTest, OutcomesCarryEpochsAndViewsTrackInstalls) {
+TEST(DeepDiveQueryTest, PinnedViewKeepsRetiredSnapshotAlive) {
   deepdive::serving_thread.AssertHeld();
-  FactorGraph g = TwoComponentGraph(41);
-  IncrementalEngine engine(&g);
-  // Construction publishes the empty pre-materialization state.
-  const auto initial = engine.Query();
-  ASSERT_NE(initial, nullptr);
-  EXPECT_EQ(initial->epoch, 1u);
-  EXPECT_EQ(initial->snapshot_generation, 0u);
+  auto dd = MakeDeepDive(core::FastTestConfig());
+  ASSERT_TRUE(dd->Initialize().ok());
 
-  ASSERT_TRUE(engine.Materialize(TestMaterialization()).ok());
-  const auto materialized = engine.Query();
-  EXPECT_GT(materialized->epoch, initial->epoch);
-  EXPECT_EQ(materialized->snapshot_generation, 1u);
-  EXPECT_EQ(materialized->materialization.samples_collected, 1000u);
-  ASSERT_NE(materialized->materialized_marginals, nullptr);
-
-  auto outcome = engine.ApplyDelta(AddFeatureFactor(&g, 1, 2, 0.5), TestEngine());
-  ASSERT_TRUE(outcome.ok());
-  EXPECT_GT(outcome->epoch, materialized->epoch);
-  const auto after = engine.Query();
-  EXPECT_EQ(after->epoch, outcome->epoch);
-  EXPECT_EQ(after->marginals, outcome->marginals);
-  EXPECT_EQ(after->report.strategy, outcome->strategy);
-  EXPECT_EQ(after->report.epoch, outcome->epoch);
-}
-
-TEST(EngineQueryTest, PinnedViewKeepsRetiredSnapshotAlive) {
-  deepdive::serving_thread.AssertHeld();
-  FactorGraph g = TwoComponentGraph(42);
-  IncrementalEngine engine(&g);
-  ASSERT_TRUE(engine.Materialize(TestMaterialization()).ok());
-
-  const auto pinned = engine.Query();
+  const auto pinned = dd->Query();
+  ASSERT_EQ(pinned->snapshot_generation, 1u);
   ASSERT_NE(pinned->materialized_marginals, nullptr);
   const std::vector<double> pr0 = *pinned->materialized_marginals;
   const auto stats = pinned->materialization;
 
-  // Rematerialize with a different seed: the engine swaps snapshots and the
-  // old one is retired — but the pinned view still reads the old Pr(0)
-  // marginals and stats (this used to be the dangling-reference hazard on
-  // materialization_stats()/materialized_marginals()).
-  MaterializationOptions remat = TestMaterialization();
-  remat.seed = 777;
-  remat.num_samples = 500;
-  ASSERT_TRUE(engine.Materialize(remat).ok());
-  EXPECT_EQ(engine.snapshot_generation(), 2u);
-  EXPECT_EQ(engine.materialization_stats().samples_collected, 500u);
+  // Rematerialize: the engine swaps snapshots and retires the old one — but
+  // the pinned view still reads the old Pr(0) marginals and stats.
+  IncrementalEngine* engine = dd->incremental_engine();
+  const MaterializationOptions remat = RematOptions(*dd);
+  ASSERT_TRUE(engine->Materialize(remat).ok());
+  const auto serving = engine->serving_snapshot();
+  ASSERT_EQ(serving->generation, 2u);
+  EXPECT_EQ(serving->stats.samples_collected, remat.num_samples);
+  EXPECT_NE(pinned->materialized_marginals.get(), &serving->materialized_marginals);
 
   EXPECT_EQ(*pinned->materialized_marginals, pr0);
   EXPECT_EQ(pinned->materialization.samples_collected, stats.samples_collected);
   EXPECT_EQ(pinned->snapshot_generation, 1u);
-  // And the serving accessors moved on to the new snapshot.
-  EXPECT_EQ(engine.Query()->snapshot_generation, 2u);
+  EXPECT_EQ(pinned->Fingerprint(), pinned->content_hash);
+}
+
+TEST(DeepDiveQueryTest, SnapshotInstallVisibleAtNextPublish) {
+  deepdive::serving_thread.AssertHeld();
+  auto dd = MakeDeepDive(core::FastTestConfig());
+  ASSERT_TRUE(dd->Initialize().ok());
+  const auto before = dd->Query();
+
+  // A background remat drained by WaitForMaterialization installs a new
+  // snapshot but publishes nothing: Query() still serves Initialize's view,
+  // while the engine's serving snapshot already shows the install.
+  IncrementalEngine* engine = dd->incremental_engine();
+  MaterializationOptions remat = RematOptions(*dd);
+  remat.async = true;
+  ASSERT_TRUE(engine->MaterializeAsync(remat).ok());
+  ASSERT_TRUE(engine->WaitForMaterialization().ok());
+  const auto serving = engine->serving_snapshot();
+  ASSERT_EQ(serving->generation, 2u);
+  EXPECT_EQ(dd->Query(), before);
+  EXPECT_EQ(dd->Query()->snapshot_generation, 1u);
+
+  // The next update's view carries the installed snapshot.
+  UpdateSpec analysis;
+  analysis.label = "A1";
+  analysis.analysis_only = true;
+  auto report = dd->ApplyUpdate(analysis);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const auto after = dd->Query();
+  EXPECT_EQ(after->epoch, before->epoch + 1);
+  EXPECT_EQ(after->epoch, report->epoch);
+  EXPECT_EQ(after->snapshot_generation, 2u);
+  EXPECT_EQ(after->materialization.samples_collected, remat.num_samples);
+  EXPECT_EQ(after->samples_remaining, serving->store.remaining());
+  EXPECT_EQ(after->materialized_marginals.get(), &serving->materialized_marginals);
+  // An analysis step on an unchanged graph serves the new Pr(0) marginals.
+  EXPECT_EQ(after->marginals, serving->materialized_marginals);
 }
 
 // ---------------------------------------------------------------------------
 // The concurrent reader/writer drill (also a TSan target): N reader threads
-// hammer Query() on both the DeepDive and its engine while the serving
-// thread applies a stream of updates and self-scheduled background remats
-// swap snapshots underneath.
+// hammer Query() while the serving thread applies a stream of updates and
+// self-scheduled background remats swap snapshots underneath.
 // ---------------------------------------------------------------------------
 
 TEST(ConcurrentQueryTest, ReadersSeeConsistentViewsWhileUpdatesStream) {
@@ -366,39 +331,30 @@ TEST(ConcurrentQueryTest, ReadersSeeConsistentViewsWhileUpdatesStream) {
   std::atomic<bool> stop{false};
   std::atomic<bool> violation{false};
   std::atomic<uint64_t> total_queries{0};
-  // The engine pointer is pinned here, on the serving thread, because
-  // incremental_engine() is a REQUIRES(serving_thread) accessor — readers
-  // get the stable pointer and use only the capability-free Query() surface.
-  incremental::IncrementalEngine* engine = dd->incremental_engine();
   // lint:allow(raw-thread) reader threads are the subject under test — they
   // must be plain threads hammering Query(), not ThreadPool tasks.
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
   for (size_t t = 0; t < kReaders; ++t) {
     readers.emplace_back([&] {
-      uint64_t last_dd_epoch = 0;
-      uint64_t last_engine_epoch = 0;
+      uint64_t last_epoch = 0;
       uint64_t queries = 0;
       // ordering: relaxed — quit hint polled between queries; the join below
       // is the synchronization point for the tallies.
       while (!stop.load(std::memory_order_relaxed)) {
         const auto view = dd->Query();
-        const auto engine_view = engine->Query();
         // Internal consistency: the epoch matches the marginal vector it
         // was published with (checksum), values are probabilities, and the
         // relation index answers its own entries.
-        if (view->Fingerprint() != view->content_hash ||
-            engine_view->Fingerprint() != engine_view->content_hash) {
+        if (view->Fingerprint() != view->content_hash) {
           violation.store(true);
           break;
         }
-        if (view->epoch < last_dd_epoch ||
-            engine_view->epoch < last_engine_epoch) {
+        if (view->epoch < last_epoch) {
           violation.store(true);  // epochs must be monotone per reader
           break;
         }
-        last_dd_epoch = view->epoch;
-        last_engine_epoch = engine_view->epoch;
+        last_epoch = view->epoch;
         bool ok = true;
         for (const double m : view->marginals) {
           ok &= m >= 0.0 && m <= 1.0;
@@ -408,10 +364,10 @@ TEST(ConcurrentQueryTest, ReadersSeeConsistentViewsWhileUpdatesStream) {
           const auto& probe = (*entries)[queries % entries->size()];
           ok &= view->MarginalOf("HasSpouse", probe.first) == probe.second;
         }
-        if (engine_view->materialized_marginals != nullptr) {
+        if (view->materialized_marginals != nullptr) {
           // Reading the pinned snapshot's Pr(0) marginals must stay safe
           // across swaps (it keeps the retired snapshot alive).
-          for (const double m : *engine_view->materialized_marginals) {
+          for (const double m : *view->materialized_marginals) {
             ok &= m >= 0.0 && m <= 1.0;
           }
         }

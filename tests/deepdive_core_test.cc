@@ -32,6 +32,12 @@ std::unique_ptr<DeepDive> Make(ExecutionMode mode) REQUIRES(serving_thread) {
   return std::move(dd).value();
 }
 
+/// The (tuple, marginal) entries of HasSpouse served by the latest view.
+std::vector<std::pair<Tuple, double>> Served(const DeepDive& dd) {
+  const auto* entries = dd.Query()->Relation("HasSpouse");
+  return entries == nullptr ? std::vector<std::pair<Tuple, double>>{} : *entries;
+}
+
 TEST(DeepDiveTest, CreateRejectsBadProgram) {
   deepdive::serving_thread.AssertHeld();
   EXPECT_FALSE(DeepDive::Create("relation R(", FastTestConfig()).ok());
@@ -42,9 +48,9 @@ TEST(DeepDiveTest, InitializeGroundsCandidates) {
   auto dd = Make(ExecutionMode::kIncremental);
   // 2 sentences x 2 ordered pairs each.
   EXPECT_EQ(dd->ground().graph.NumVariables(), 4u);
-  EXPECT_EQ(dd->Marginals("HasSpouse").size(), 4u);
+  EXPECT_EQ(Served(*dd).size(), 4u);
   // The negative prior pushes marginals below 0.5.
-  for (const auto& [tuple, p] : dd->Marginals("HasSpouse")) {
+  for (const auto& [tuple, p] : Served(*dd)) {
     EXPECT_LT(p, 0.5) << TupleToString(tuple);
   }
 }
@@ -70,7 +76,7 @@ TEST(DeepDiveTest, DataUpdateCreatesVariables) {
   auto report = dd->ApplyUpdate(spec);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(dd->ground().graph.NumVariables(), 6u);
-  EXPECT_NE(dd->MarginalOf("HasSpouse", {Value(30), Value(31)}), 0.5);
+  EXPECT_NE(dd->Query()->MarginalOf("HasSpouse", {Value(30), Value(31)}), 0.5);
 }
 
 TEST(DeepDiveTest, DataDeletionRetractsCandidates) {
@@ -82,8 +88,21 @@ TEST(DeepDiveTest, DataDeletionRetractsCandidates) {
   auto report = dd->ApplyUpdate(spec);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_FALSE(dd->db()->GetTable("HasSpouse")->Contains({Value(20), Value(21)}));
-  // Marginals are still reported for the surviving pairs.
-  EXPECT_EQ(dd->Marginals("HasSpouse").size(), 4u);  // index keeps ghosts
+  // Both pairs of sentence 2 lost their last derivation: only the pairs of
+  // sentence 1 are served.
+  const auto served = Served(*dd);
+  ASSERT_EQ(served.size(), 2u);
+  EXPECT_EQ(served[0].first, (Tuple{Value(10), Value(11)}));
+  EXPECT_EQ(served[1].first, (Tuple{Value(11), Value(10)}));
+  EXPECT_EQ(dd->Query()->MarginalOf("HasSpouse", {Value(20), Value(21)}), 0.5);
+
+  // Re-inserting the mention re-derives the pair: served again.
+  UpdateSpec back;
+  back.label = "back";
+  back.inserts["Person"] = {{Value(2), Value(21)}};
+  ASSERT_TRUE(dd->ApplyUpdate(back).ok());
+  EXPECT_EQ(Served(*dd).size(), 4u);
+  EXPECT_LT(dd->Query()->MarginalOf("HasSpouse", {Value(20), Value(21)}), 0.5);
 }
 
 TEST(DeepDiveTest, RuleUpdateAddsFactorsAndLearns) {
@@ -103,7 +122,8 @@ TEST(DeepDiveTest, RuleUpdateAddsFactorsAndLearns) {
   auto report = dd->ApplyUpdate(sup);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   // Evidence variable reports its label.
-  EXPECT_DOUBLE_EQ(dd->MarginalOf("HasSpouse", {Value(10), Value(11)}), 1.0);
+  EXPECT_DOUBLE_EQ(dd->Query()->MarginalOf("HasSpouse", {Value(10), Value(11)}),
+                   1.0);
   EXPECT_GT(report->learning_seconds, 0.0);
 }
 
@@ -123,7 +143,7 @@ TEST(DeepDiveTest, RemoveRuleRetractsGroups) {
   auto report = dd->ApplyUpdate(remove);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   // After retraction the strong positive factor is gone: marginals low again.
-  for (const auto& [tuple, p] : dd->Marginals("HasSpouse")) {
+  for (const auto& [tuple, p] : Served(*dd)) {
     EXPECT_LT(p, 0.6) << TupleToString(tuple);
   }
 }
@@ -180,9 +200,9 @@ TEST(DeepDiveTest, RerunModeProducesSimilarMarginals) {
   ASSERT_TRUE(rerun->ApplyUpdate(spec).ok());
 
   std::vector<double> pi, pr;
-  for (const auto& [tuple, p] : inc->Marginals("HasSpouse")) {
+  for (const auto& [tuple, p] : Served(*inc)) {
     pi.push_back(p);
-    pr.push_back(rerun->MarginalOf("HasSpouse", tuple));
+    pr.push_back(rerun->Query()->MarginalOf("HasSpouse", tuple));
   }
   // Same facts at similar probabilities (Section 4.2's parity check).
   EXPECT_LT(kbc::MeanSymmetricKL(pi, pr), 0.25);
@@ -204,9 +224,9 @@ TEST(DeepDiveTest, HistoryAccumulates) {
 TEST(DeepDiveTest, MaterializationStatsPopulated) {
   deepdive::serving_thread.AssertHeld();
   auto dd = Make(ExecutionMode::kIncremental);
-  EXPECT_GT(dd->materialization_stats().samples_collected, 0u);
+  EXPECT_GT(dd->Query()->materialization.samples_collected, 0u);
   auto rerun = Make(ExecutionMode::kRerun);
-  EXPECT_EQ(rerun->materialization_stats().samples_collected, 0u);
+  EXPECT_EQ(rerun->Query()->materialization.samples_collected, 0u);
 }
 
 }  // namespace

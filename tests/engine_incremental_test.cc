@@ -55,7 +55,8 @@ TEST(IncrementalEngineTest, MaterializeProducesStatsAndMarginals) {
   FactorGraph g = TwoComponentGraph(1);
   IncrementalEngine engine(&g);
   ASSERT_TRUE(engine.Materialize(TestMaterialization()).ok());
-  const auto& stats = engine.materialization_stats();
+  const auto snapshot = engine.serving_snapshot();
+  const auto& stats = snapshot->stats;
   EXPECT_EQ(stats.samples_collected, 8000u);
   EXPECT_GT(stats.sample_bytes, 0u);
   EXPECT_GT(stats.seconds, 0.0);
@@ -260,8 +261,8 @@ TEST(IncrementalEngineTest, TimeBudgetLimitsSampleCollection) {
   mopts.num_samples = 100000000;  // absurd target
   mopts.time_budget_seconds = 0.05;
   ASSERT_TRUE(engine.Materialize(mopts).ok());
-  EXPECT_LT(engine.materialization_stats().samples_collected, 100000000u);
-  EXPECT_GT(engine.materialization_stats().samples_collected, 0u);
+  EXPECT_LT(engine.serving_snapshot()->stats.samples_collected, 100000000u);
+  EXPECT_GT(engine.serving_snapshot()->stats.samples_collected, 0u);
 }
 
 TEST(IncrementalEngineTest, TimeBudgetEnforcedDuringBurnIn) {
@@ -276,8 +277,8 @@ TEST(IncrementalEngineTest, TimeBudgetEnforcedDuringBurnIn) {
   mopts.num_samples = 10;
   mopts.time_budget_seconds = 0.05;
   ASSERT_TRUE(engine.Materialize(mopts).ok());
-  EXPECT_EQ(engine.materialization_stats().samples_collected, 0u);
-  EXPECT_LT(engine.materialization_stats().seconds, 5.0);
+  EXPECT_EQ(engine.serving_snapshot()->stats.samples_collected, 0u);
+  EXPECT_LT(engine.serving_snapshot()->stats.seconds, 5.0);
 }
 
 TEST(IncrementalEngineTest, ComponentCacheTracksNewVariables) {

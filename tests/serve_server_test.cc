@@ -145,6 +145,34 @@ TEST_F(ServerTest, FullVerbSetOverTheWire) {
   }
 }
 
+TEST_F(ServerTest, PointLookupsMatchTupleTextExactly) {
+  auto created = Call(CreateVoteRequest("vote"));
+  ASSERT_TRUE(created.ok() && created->ok());
+  auto lookup = [&](const std::string& tuple_tsv) {
+    comm::Request query;
+    query.tenant = "vote";
+    query.body = comm::QueryRequest{"Trusted", tuple_tsv, 0.0};
+    auto answer = Call(query);
+    EXPECT_TRUE(answer.ok() && answer->ok()) << tuple_tsv;
+    return answer.ok() ? std::get<comm::QueryResult>(answer->body)
+                       : comm::QueryResult{};
+  };
+  // Present: the served marginal of Trusted(200), which has no label.
+  const comm::QueryResult present = lookup("200");
+  EXPECT_TRUE(present.found);
+  EXPECT_GT(present.marginal, 0.0);
+  EXPECT_LT(present.marginal, 1.0);
+  // Absent: parses, but no such candidate.
+  const comm::QueryResult absent = lookup("300");
+  EXPECT_FALSE(absent.found);
+  EXPECT_EQ(absent.marginal, 0.5);
+  // Malformed: not an int, or the wrong arity — found=false, not an error.
+  EXPECT_FALSE(lookup("abc").found);
+  EXPECT_FALSE(lookup("200\t1").found);
+  // Parses to a served tuple but is not its text: no match.
+  EXPECT_FALSE(lookup("0200").found);
+}
+
 TEST_F(ServerTest, ErrorsTravelAsResponses) {
   // Unknown tenant: a clean NotFound response, connection stays usable.
   auto client = comm::Client::Dial(server_->address());

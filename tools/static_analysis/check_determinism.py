@@ -22,6 +22,10 @@ below (name-level call-graph BFS over the whole library — an
 overapproximation, which is the right direction for a determinism gate).
 The RNG rule applies to all of src/. Waive with
 `// analysis:allow(<rule>): <rationale>`.
+
+  determinism-scope       (whole-tree runs only) a seed that matches no
+                          function: a renamed or deleted entry point would
+                          otherwise shrink the checked scope silently.
 """
 
 import re
@@ -39,7 +43,6 @@ SCOPE_SEEDS = [
     "GraphDelta::Merge",
     # marginal and checksum computation
     "DeepDive::PublishView",
-    "IncrementalEngine::PublishView",
     "ResultPublisher::Publish",
     "ResultView::Fingerprint",
     "CompiledGraph::Checksum",
@@ -72,7 +75,8 @@ BLESSED_REDUCERS = ("OrderedShardReduce",)
 # sort, then visit). Matched by unqualified name.
 BLESSED_ORDERED_HELPERS = ("ForEachOrdered", "OrderedShardReduce")
 
-RULES = ("determinism-unordered", "determinism-fp", "determinism-rng")
+RULES = ("determinism-unordered", "determinism-fp", "determinism-rng",
+         "determinism-scope")
 
 _UNORDERED_DECL = re.compile(r"\bunordered_(?:map|set)\s*<")
 _RANGE_FOR = re.compile(r"\bfor\s*\(\s*[^;:()]*?:\s*([^)]+)\)")
@@ -140,19 +144,23 @@ def build_function_index(sources):
 _CALL = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
 
 
+def _seed_functions(index, seed):
+    """Function records a seed names (qualified-name suffix match)."""
+    return [fn for fn in index.get(seed.split("::")[-1], [])
+            if fn.qual.endswith(seed) or fn.name == seed]
+
+
 def reachable_functions(sources, seeds=SCOPE_SEEDS):
     """Name-level BFS: all Function records reachable from the seed set."""
     index = build_function_index(sources)
     work = []
     seen = set()
     for seed in seeds:
-        last = seed.split("::")[-1]
-        for fn in index.get(last, []):
-            if fn.qual.endswith(seed) or fn.name == seed:
-                key = (fn.path, fn.start_line)
-                if key not in seen:
-                    seen.add(key)
-                    work.append(fn)
+        for fn in _seed_functions(index, seed):
+            key = (fn.path, fn.start_line)
+            if key not in seen:
+                seen.add(key)
+                work.append(fn)
     reach = []
     while work:
         fn = work.pop()
@@ -338,14 +346,37 @@ def check_rng_in_file(sf):
     return findings
 
 
-def run(root, sources, scope_all=False):
+def unmatched_seed_findings(sources, seeds):
+    """One determinism-scope finding per seed that names no function,
+    located at the seed's line in this file."""
+    index = build_function_index(sources)
+    with open(__file__, encoding="utf-8") as f:
+        own_lines = f.read().split("\n")
+    findings = []
+    for seed in seeds:
+        if _seed_functions(index, seed):
+            continue
+        line = next((i + 1 for i, text in enumerate(own_lines)
+                     if f'"{seed}"' in text), 1)
+        findings.append(Finding(
+            "tools/static_analysis/check_determinism.py", line,
+            "determinism-scope",
+            f"scope seed '{seed}' matches no function — drop or rename it"))
+    return findings
+
+
+def run(root, sources, scope_all=False, whole_tree=False, seeds=SCOPE_SEEDS):
+    """`whole_tree` marks a scan of the whole repository (no --files): only
+    then must every seed match a function."""
     unordered, fp_names = build_symbol_tables(sources)
     by_path = {sf.path: sf for sf in sources}
     if scope_all:
         scoped = [fn for sf in sources for fn in sf.functions]
     else:
-        scoped = reachable_functions(sources)
+        scoped = reachable_functions(sources, seeds)
     findings = []
+    if whole_tree:
+        findings += unmatched_seed_findings(sources, seeds)
     for fn in scoped:
         sf = by_path.get(fn.path)
         if sf is None:
@@ -367,6 +398,7 @@ def run(root, sources, scope_all=False):
 
 # ---------------------------------------------------------------------------
 
+# (name, content, expected rules[, seeds of a whole-tree run])
 SELF_TEST_CASES = [
     ("unordered_iteration.cc", """
 #include <unordered_map>
@@ -526,6 +558,23 @@ struct IncrementalGrounder {
 };
 }
 """, []),
+    # A whole-tree run reports a seed that names no function (a retired
+    # entry point) instead of silently checking less.
+    ("seed_unmatched.cc", """
+namespace deepdive {
+struct IncrementalGrounder {
+  void GroundAll() {}
+};
+}
+""", ["determinism-scope"],
+     ["IncrementalGrounder::GroundAll", "RetiredEngine::PublishView"]),
+    ("seed_matched_ok.cc", """
+namespace deepdive {
+struct IncrementalGrounder {
+  void GroundAll() {}
+};
+}
+""", [], ["IncrementalGrounder::GroundAll"]),
     # Range over a call expression is not a variable lookup.
     ("call_range_not_flagged.cc", """
 #include <unordered_map>
@@ -545,13 +594,15 @@ struct IncrementalGrounder {
 def self_test():
     import sa_common
     failures = []
-    for name, content, expected in SELF_TEST_CASES:
+    for name, content, expected, *seeds in SELF_TEST_CASES:
         rel = "src/selftest/" + name
         stripped = sa_common.strip_comments(content)
         sf = sa_common.SourceFile(path=rel, lines=content.split("\n"),
                                   stripped=stripped)
         sf.functions = sa_common.scan_functions(rel, stripped)
-        found = sorted({f.rule for f in run(".", [sf])})
+        findings = run(".", [sf], whole_tree=bool(seeds),
+                       seeds=seeds[0] if seeds else SCOPE_SEEDS)
+        found = sorted({f.rule for f in findings})
         if sorted(expected) != found:
             failures.append(f"{name}: expected {expected}, got {found}")
     return failures
